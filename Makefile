@@ -1,6 +1,6 @@
 PY := PYTHONPATH=src python
 
-.PHONY: default test test-fast lint sim-smoke sim-campaign chaos-smoke wm-smoke engine-smoke autoscale-smoke pushdown-smoke doctor-smoke designer-smoke bench bench-smoke obs-demo
+.PHONY: default test test-fast lint sim-smoke sim-campaign chaos-smoke wm-smoke engine-smoke autoscale-smoke pushdown-smoke doctor-smoke designer-smoke bench bench-smoke perf obs-demo
 
 # Default flow: lint, then the tier-1 suite.
 default: lint test
@@ -78,6 +78,19 @@ bench:
 # I/O scheduler on/off ablation) at its tiny default scale, BENCH JSON out.
 bench-smoke:
 	$(PY) -m pytest benchmarks/bench_fig10_tpch.py -q -s
+
+# End-to-end host/sim numbers from eonbench: the three gated workloads at
+# seed 1 and at the held-out seed 7919, each workload's result JSON line.
+# Run from the repo root; about 20 s of timed work per run.
+PERF_WORKLOADS := tpch-warm tpch-spill ingest-trickle
+PERF_SEEDS := 1 7919
+perf:
+	@for seed in $(PERF_SEEDS); do \
+		for w in $(PERF_WORKLOADS); do \
+			out=$$(python3 eonbench/run.py --workload $$w --seed $$seed) || exit 1; \
+			printf '%s seed %s: %s\n' $$w $$seed "$$(printf '%s\n' "$$out" | tail -n 1)"; \
+		done; \
+	done
 
 # Observability walkthrough: trace a TPC-H query, print the span tree,
 # the operator profile, and sample v_monitor system-table queries.

@@ -1166,8 +1166,14 @@ class EonCluster:
     def _full_metadata_rebuild(self, node: Node) -> None:
         """Rebuild a node's whole catalog from peers (instance loss or a
         history gap): global objects from any peer, then each subscribed
-        shard's storage metadata from that shard's subscribers."""
-        peer = self.any_up_node()
+        shard's storage metadata from that shard's subscribers.
+
+        The peer is never ``node`` itself: recovery marks the node UP
+        before rebuilding it, and copying its own empty catalog would
+        drop every shard's subscribers."""
+        peer = next((n for n in self.up_nodes() if n is not node), None)
+        if peer is None:
+            raise QuorumLost(f"no up peer to rebuild {node.name}'s catalog from")
         rebuilt = peer.catalog.state.copy()
         shards = node.catalog.subscribed_shards or set()
         for sid, container in list(rebuilt.containers.items()):

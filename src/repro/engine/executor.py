@@ -42,7 +42,16 @@ import numpy as np
 from repro.common.types import SchemaColumn, TableSchema
 from repro.engine.cost import CostModel, QueryStats
 from repro.engine.expressions import BinaryOp, ColumnRef, Expr, InList
-from repro.engine.operators import aggregate, hash_join, join_match_mask, sort_limit
+# The executor calls operators through these module-level names, which
+# eonbench/spans.py wraps to time each layer; join_match_mask stays
+# importable here for that wrapper although the executor no longer calls it.
+from repro.engine.operators import (  # noqa: F401
+    JoinIndex,
+    aggregate,
+    hash_join,
+    join_match_mask,
+    sort_limit,
+)
 from repro.engine.pipeline import PipelineCharges, chunk_rows
 from repro.engine.plan import (
     AggregateNode,
@@ -680,12 +689,13 @@ class Executor:
     def _stream_join(self, node: JoinNode, participant: str):
         """Build once, then stream probe batches through the join.
 
-        Inner joins probe each batch directly; the per-batch outputs
-        concatenate to exactly the materializing join's output (probe order
-        × build order).  LEFT joins split each batch by
-        :func:`join_match_mask`, join the matched rows inner per batch, and
-        hold the unmatched rows for one padded tail batch — reproducing the
-        serial all-matched-then-all-unmatched row order.
+        One :class:`JoinIndex` over the build side serves every probe
+        batch.  Inner joins gather each batch's matches directly; the
+        per-batch outputs concatenate to exactly the materializing join's
+        output (probe order × build order).  LEFT joins take each batch's
+        match mask from the same probe, emit the matched rows per batch,
+        and hold the unmatched rows for one padded tail batch —
+        reproducing the serial all-matched-then-all-unmatched row order.
         """
         work = self.stats.node(participant)
         locality = node.locality
@@ -699,7 +709,8 @@ class Executor:
         else:
             right = self._broadcast(node.right, participant)
         self._register_sip(node, right, participant)
-        left_keys, right_keys = list(node.left_keys), list(node.right_keys)
+        index = JoinIndex(right, node.right_keys)
+        left_keys = list(node.left_keys)
         build_cpu_charged = False
         total_in = total_out = 0
         unmatched: List[RowSet] = []
@@ -707,16 +718,12 @@ class Executor:
             if not build_cpu_charged:
                 work.cpu_seconds += right.num_rows * self.cost.row_cpu_seconds
                 build_cpu_charged = True
+            probe = index.probe(batch, left_keys)
             if node.how == "left":
-                mask = join_match_mask(batch, right, left_keys, right_keys)
-                missed = batch.filter(~mask)
+                missed = batch.filter(probe[2] == 0)
                 if missed.num_rows:
                     unmatched.append(missed)
-                out = hash_join(
-                    batch.filter(mask), right, left_keys, right_keys, "inner"
-                )
-            else:
-                out = hash_join(batch, right, left_keys, right_keys, node.how)
+            out = index.gather(batch, probe, "inner")
             join_cpu = (batch.num_rows + out.num_rows) * self.cost.row_cpu_seconds
             work.cpu_seconds += join_cpu
             work.rows_processed += out.num_rows
@@ -726,9 +733,8 @@ class Executor:
         if not build_cpu_charged:
             work.cpu_seconds += right.num_rows * self.cost.row_cpu_seconds
         if node.how == "left" and unmatched:
-            tail = hash_join(
-                RowSet.concat(unmatched), right, left_keys, right_keys, "left"
-            )
+            missed = RowSet.concat(unmatched)
+            tail = index.gather(missed, index.probe(missed, left_keys), "left")
             join_cpu = (tail.num_rows * 2) * self.cost.row_cpu_seconds
             work.cpu_seconds += join_cpu
             work.rows_processed += tail.num_rows

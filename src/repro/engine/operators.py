@@ -322,12 +322,8 @@ def _factorize_pairs(codes: np.ndarray, values: Optional[np.ndarray]) -> Tuple[n
 
 
 def _first_occurrence_mask(codes: np.ndarray) -> np.ndarray:
-    seen = np.zeros(int(codes.max()) + 1 if len(codes) else 0, dtype=bool)
     keep = np.zeros(len(codes), dtype=bool)
-    for i, c in enumerate(codes):
-        if not seen[c]:
-            seen[c] = True
-            keep[i] = True
+    keep[np.unique(codes, return_index=True)[1]] = True
     return keep
 
 
@@ -412,6 +408,189 @@ def final_count_sum(specs: Sequence[AggregateSpec]) -> List[AggregateSpec]:
 # joins
 
 
+class JoinIndex:
+    """Sort-based join index over a build side's key columns, built once
+    and probed by any number of probe batches.
+
+    Every build row gets one comparable key: the key column's own values
+    (int64 or float64), or codes from a dict for an object column; several
+    key columns combine their dense ranks mixed-radix.  A stable sort
+    groups the build rows by key, keeping build-row order inside each
+    group.  A probe computes the same keys and finds each row's group in
+    the sorted distinct keys with ``searchsorted``.
+
+    Equality is the tuple-keyed dict probe's: ``1 == 1.0 == True``,
+    ``None`` matches ``None``, float NaN never matches, and a key pair
+    that involves an object column compares by Python equality through a
+    dict.
+    """
+
+    def __init__(self, build: RowSet, keys: Sequence[str]) -> None:
+        self.build = build
+        self._names = list(keys)
+        # Per key column: "i" or "f" (numeric compare domain), or the
+        # object column's value -> code dict.
+        self._domains: List[object] = []
+        for name in keys:
+            values = build.column(name)
+            if values.dtype.kind in "iubf":
+                self._domains.append("f" if values.dtype.kind == "f" else "i")
+            else:
+                distinct = dict.fromkeys(values.tolist())
+                self._domains.append({v: i for i, v in enumerate(distinct)})
+        self._stages: List[np.ndarray] = []  # multi-key ranks, see _rank
+        key, ok = self._keys(build, keys)
+        rows = np.flatnonzero(ok)
+        self.order = rows[_stable_argsort(key[rows])]
+        sorted_keys = key[self.order]
+        first = np.ones(len(sorted_keys), dtype=bool)
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        self._uniques = sorted_keys[starts]
+        # A trailing empty group answers every probe key that is absent.
+        self._starts = np.append(starts, 0)
+        self._counts = np.append(np.diff(np.append(starts, len(sorted_keys))), 0)
+
+    def probe(self, left: RowSet, left_keys: Sequence[str]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(order, lo, counts)``: probe row ``i`` matches the build rows
+        ``order[lo[i]:lo[i] + counts[i]]``, in build-row order."""
+        if len(left_keys) != len(self._names):
+            raise ValueError("join key lists differ in length")
+        key, ok = self._keys(left, left_keys)
+        group = np.where(ok, _lookup(self._uniques, key), -1)
+        return self.order, self._starts[group], self._counts[group]
+
+    def _keys(self, rows: RowSet, names: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
+        """One comparable key per row, and the mask of rows that can match."""
+        columns = [
+            _column_keys(rows.column(name), domain, self.build.column(build_name))
+            for name, domain, build_name in zip(names, self._domains, self._names)
+        ]
+        if not columns:  # no keys: a cross join
+            return np.zeros(rows.num_rows, dtype=np.int64), np.ones(rows.num_rows, dtype=bool)
+        if len(columns) == 1:
+            return columns[0]
+        # Stage 0 ranks the first column; stages 2j-1 and 2j rank column j
+        # and then the composite, which keeps it below the build's row count.
+        key = self._rank(0, *columns[0])
+        for j, (values, ok) in enumerate(columns[1:], 1):
+            rank = self._rank(2 * j - 1, values, ok)
+            radix = len(self._stages[2 * j - 1])
+            combined = np.where((key >= 0) & (rank >= 0), key * radix + rank, -1)
+            key = self._rank(2 * j, combined, combined >= 0)
+        return key, key >= 0
+
+    def _rank(self, stage: int, values: np.ndarray, ok: np.ndarray) -> np.ndarray:
+        """Dense rank of each value among the build's values at this stage
+        of the multi-key combination, -1 where absent; the build pass
+        records each stage's distinct values for the probes."""
+        if stage == len(self._stages):
+            self._stages.append(np.unique(values[ok]))
+        return np.where(ok, _lookup(self._stages[stage], values), -1)
+
+    def gather(
+        self, left: RowSet, probe: Tuple[np.ndarray, np.ndarray, np.ndarray], how: str
+    ) -> RowSet:
+        """Join output for a :meth:`probe` result: matches in probe order,
+        then build-row order; a LEFT join appends the unmatched probe rows
+        padded with NULL/zero.
+
+        Output columns: all left columns then all right columns (duplicated
+        names get a ``_r`` suffix).  Right key columns are retained: later
+        plan stages may reference them, and for matched rows their values
+        equal the left keys by definition.
+        """
+        order, lo, counts = probe
+        left_indices = np.repeat(np.arange(left.num_rows, dtype=np.int64), counts)
+        n_matched = len(left_indices)
+        run_offset = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        right_indices = order[run_offset + np.arange(n_matched, dtype=np.int64)]
+        if how == "left":
+            left_indices = np.concatenate([left_indices, np.flatnonzero(counts == 0)])
+
+        out_cols: Dict[str, np.ndarray] = {}
+        schema_cols: List[SchemaColumn] = []
+        for c in left.schema.columns:
+            out_cols[c.name] = left.column(c.name)[left_indices]
+            schema_cols.append(c)
+        n_out = len(left_indices)
+        for c in self.build.schema.columns:
+            name = c.name if c.name not in out_cols else c.name + "_r"
+            values = self.build.column(c.name)[right_indices]
+            if n_out > n_matched:  # left join padding with NULL/zero
+                if values.dtype.kind == "O":
+                    pad = np.full(n_out - n_matched, None, dtype=object)
+                elif values.dtype.kind == "f":
+                    pad = np.full(n_out - n_matched, np.nan)
+                else:
+                    pad = np.zeros(n_out - n_matched, dtype=values.dtype)
+                values = np.concatenate([values, pad])
+            out_cols[name] = values
+            schema_cols.append(SchemaColumn(name, c.ctype))
+        return RowSet(TableSchema(schema_cols), out_cols)
+
+
+def _column_keys(
+    values: np.ndarray, domain: object, build_values: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Keys of one join key column in its build column's domain, and the
+    mask of rows that can match at all."""
+    if isinstance(domain, dict):
+        codes = np.fromiter((domain.get(v, -1) for v in values.tolist()),
+                            dtype=np.int64, count=len(values))
+        return codes, codes >= 0
+    if values.dtype.kind not in "iubf":
+        # Object probe column, numeric build column: Python equality
+        # through a dict of the build's own values.
+        same = {w: w for w in build_values.tolist()}
+        items = values.tolist()
+        ok = np.fromiter((v in same for v in items), dtype=bool, count=len(items))
+        keys = np.array([same.get(v, 0) for v in items],
+                        dtype=np.float64 if domain == "f" else np.int64)
+        return keys, ok
+    return _to_domain(values, domain)
+
+
+def _to_domain(values: np.ndarray, domain: str) -> Tuple[np.ndarray, np.ndarray]:
+    """``values`` as int64 (domain ``"i"``) or float64 (``"f"``), plus a
+    mask of the rows that can match at all: a float matches an int only
+    when it is that exact integer, and NaN matches nothing."""
+    if domain == "f":
+        out = values.astype(np.float64)
+        if values.dtype.kind == "f":
+            return out, ~np.isnan(out)
+        # An int matches a float only when the float holds it exactly.
+        exact = np.where(out < 2.0**63, out, 0).astype(np.int64) == values
+        return out, exact
+    if values.dtype.kind != "f":
+        return values.astype(np.int64), np.ones(len(values), dtype=bool)
+    with np.errstate(invalid="ignore"):
+        ok = (np.floor(values) == values) & (values >= -(2.0**63)) & (values < 2.0**63)
+    return np.where(ok, values, 0).astype(np.int64), ok
+
+
+def _stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """Stable argsort.  Integer keys with a small enough span sort as
+    packed ``(key, row)`` integers, which numpy's fast unstable sort then
+    orders stably."""
+    n = len(keys)
+    if n and keys.dtype.kind == "i":
+        low = int(keys.min())
+        if (int(keys.max()) - low + 1) * n < 2**63:
+            packed = (keys - low) * n + np.arange(n)
+            packed.sort()
+            return packed % n
+    return np.argsort(keys, kind="stable")
+
+
+def _lookup(uniques: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Index of each value in sorted ``uniques``, or -1 when absent."""
+    idx = np.searchsorted(uniques, values)
+    found = idx < len(uniques)
+    found[found] = uniques[idx[found]] == values[found]
+    return np.where(found, idx, -1)
+
+
 def hash_join(
     left: RowSet,
     right: RowSet,
@@ -419,63 +598,15 @@ def hash_join(
     right_keys: Sequence[str],
     how: str = "inner",
 ) -> RowSet:
-    """Hash join; the smaller side should be ``right`` (build side).
-
-    Output columns: all left columns then all right non-key columns (key
-    columns are equal by definition; duplicated names get a ``_r`` suffix).
-    """
+    """Equi-join ``left`` (probe side) with ``right`` (build side) through
+    a :class:`JoinIndex` over ``right``; see :meth:`JoinIndex.gather` for
+    the output layout and row order."""
     if how not in ("inner", "left"):
         raise ValueError(f"unsupported join type {how!r}")
     if len(left_keys) != len(right_keys):
         raise ValueError("join key lists differ in length")
-
-    build: Dict[tuple, List[int]] = {}
-    right_key_cols = [right.column(k) for k in right_keys]
-    for i in range(right.num_rows):
-        key = tuple(c[i] for c in right_key_cols)
-        build.setdefault(key, []).append(i)
-
-    left_key_cols = [left.column(k) for k in left_keys]
-    left_idx: List[int] = []
-    right_idx: List[int] = []
-    unmatched: List[int] = []
-    for i in range(left.num_rows):
-        key = tuple(c[i] for c in left_key_cols)
-        matches = build.get(key)
-        if matches:
-            left_idx.extend([i] * len(matches))
-            right_idx.extend(matches)
-        elif how == "left":
-            unmatched.append(i)
-
-    left_indices = np.asarray(left_idx + unmatched, dtype=np.int64)
-    right_indices = np.asarray(right_idx, dtype=np.int64)
-
-    out_cols: Dict[str, np.ndarray] = {}
-    schema_cols: List[SchemaColumn] = []
-    for c in left.schema.columns:
-        out_cols[c.name] = left.column(c.name)[left_indices]
-        schema_cols.append(c)
-
-    n_matched = len(right_idx)
-    n_out = len(left_indices)
-    # Right key columns are retained: later plan stages may reference them
-    # (column names are globally unique, so there is no collision; for the
-    # matched rows their values equal the left keys by definition).
-    for c in right.schema.columns:
-        name = c.name if c.name not in out_cols else c.name + "_r"
-        values = right.column(c.name)[right_indices]
-        if n_out > n_matched:  # left join padding with NULL/zero
-            if values.dtype.kind == "O":
-                pad = np.full(n_out - n_matched, None, dtype=object)
-            elif values.dtype.kind == "f":
-                pad = np.full(n_out - n_matched, np.nan)
-            else:
-                pad = np.zeros(n_out - n_matched, dtype=values.dtype)
-            values = np.concatenate([values, pad])
-        out_cols[name] = values
-        schema_cols.append(SchemaColumn(name, c.ctype))
-    return RowSet(TableSchema(schema_cols), out_cols)
+    index = JoinIndex(right, right_keys)
+    return index.gather(left, index.probe(left, left_keys), how)
 
 
 def join_match_mask(
@@ -484,27 +615,12 @@ def join_match_mask(
     left_keys: Sequence[str],
     right_keys: Sequence[str],
 ) -> np.ndarray:
-    """Boolean mask over ``left``: which probe rows have a build match.
-
-    Uses the same tuple-keyed dict probing as :func:`hash_join` so its
-    equality semantics (including ``None`` keys matching ``None``) carry
-    over exactly — the batched LEFT join splits each probe batch with this
-    mask, joins the matched rows inner per batch, and defers the unmatched
-    rows to one padded tail batch, reproducing the serial join's
-    all-matched-then-all-unmatched row order.
-    """
+    """Boolean mask over ``left``: which probe rows have a build match,
+    with :func:`hash_join`'s equality (including ``None`` matching
+    ``None``)."""
     if len(left_keys) != len(right_keys):
         raise ValueError("join key lists differ in length")
-    build: Dict[tuple, bool] = {}
-    right_key_cols = [right.column(k) for k in right_keys]
-    for i in range(right.num_rows):
-        build[tuple(c[i] for c in right_key_cols)] = True
-    left_key_cols = [left.column(k) for k in left_keys]
-    mask = np.zeros(left.num_rows, dtype=bool)
-    for i in range(left.num_rows):
-        if build.get(tuple(c[i] for c in left_key_cols)):
-            mask[i] = True
-    return mask
+    return JoinIndex(right, right_keys).probe(left, left_keys)[2] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -60,8 +60,9 @@ def _zigzag(n: int) -> int:
     return (n << 1) ^ (n >> 63) if n < 0 else n << 1
 
 
-def _unzigzag(n: int) -> int:
-    return (n >> 1) ^ -(n & 1)
+def _unzigzag(z: np.ndarray) -> np.ndarray:
+    """Vectorized inverse of :func:`_zigzag` over uint64 varint values."""
+    return (z >> np.uint64(1)).astype(np.int64) ^ -(z & np.uint64(1)).astype(np.int64)
 
 
 def _write_varint(out: bytearray, n: int) -> None:
@@ -85,6 +86,23 @@ def _read_varint(data: bytes, pos: int) -> Tuple[int, int]:
         if not b & 0x80:
             return result, pos
         shift += 7
+
+
+def _read_varints(data: bytes, pos: int, count: int) -> Tuple[np.ndarray, int]:
+    """``count`` consecutive varints from ``pos`` as uint64, plus the end
+    position: find the terminator bytes, shift each byte's 7 payload bits
+    by its place in its varint, and sum each varint's bytes."""
+    if count == 0:
+        return np.zeros(0, dtype=np.uint64), pos
+    raw = np.frombuffer(data, dtype=np.uint8, count=min(len(data) - pos, 10 * count), offset=pos)
+    ends = np.flatnonzero(raw < 0x80)[:count]
+    if len(ends) < count:
+        raise ValueError("truncated varint stream")
+    size = int(ends[-1]) + 1
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    place = np.arange(size, dtype=np.int64) - np.repeat(starts, ends - starts + 1)
+    payload = (raw[:size] & 0x7F).astype(np.uint64) << (7 * place).astype(np.uint64)
+    return np.add.reduceat(payload, starts), pos + size
 
 
 # ---------------------------------------------------------------------------
@@ -146,16 +164,11 @@ def _runs(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Run starts (indices) and run values of ``arr``."""
     if len(arr) == 0:
         return np.array([], dtype=np.int64), arr
-    if arr.dtype.kind == "O":
-        change = np.fromiter(
-            (i == 0 or arr[i] != arr[i - 1] for i in range(len(arr))),
-            dtype=bool,
-            count=len(arr),
-        )
-    else:
-        change = np.empty(len(arr), dtype=bool)
-        change[0] = True
-        np.not_equal(arr[1:], arr[:-1], out=change[1:])
+    change = np.empty(len(arr), dtype=bool)
+    change[0] = True
+    # Object arrays compare elementwise with Python ``!=`` (no identity
+    # shortcut, so a NaN object starts a new run, as it always did).
+    np.not_equal(arr[1:], arr[:-1], out=change[1:])
     starts = np.flatnonzero(change)
     return starts, arr[starts]
 
@@ -181,17 +194,12 @@ def _encode_rle(arr: np.ndarray, dt: int) -> bytes:
 
 def _decode_rle(data: bytes, dt: int, count: int) -> np.ndarray:
     nruns, pos = _read_varint(data, 0)
-    lengths = np.empty(nruns, dtype=np.int64)
-    for i in range(nruns):
-        lengths[i], pos = _read_varint(data, pos)
+    lengths, pos = _read_varints(data, pos, nruns)
     if dt == _DT_OBJ:
         str_values, _ = _decode_strings(data, pos)
         values = np.array(str_values, dtype=object)
     elif dt == _DT_INT:
-        values = np.empty(nruns, dtype=np.int64)
-        for i in range(nruns):
-            z, pos = _read_varint(data, pos)
-            values[i] = _unzigzag(z)
+        values = _unzigzag(_read_varints(data, pos, nruns)[0])
     elif dt == _DT_FLOAT:
         values = np.frombuffer(data, dtype=np.float64, count=nruns, offset=pos)
     else:
@@ -199,7 +207,7 @@ def _decode_rle(data: bytes, dt: int, count: int) -> np.ndarray:
             np.frombuffer(data, dtype=np.uint8, offset=pos), count=nruns
         )
         values = bits.astype(np.bool_)
-    return np.repeat(values, lengths)
+    return np.repeat(values, lengths.astype(np.int64))
 
 
 def _encode_dict(arr: np.ndarray, dt: int) -> bytes:
@@ -224,20 +232,14 @@ def _encode_dict(arr: np.ndarray, dt: int) -> bytes:
 
 def _decode_dict(data: bytes, dt: int, count: int) -> np.ndarray:
     if dt == _DT_OBJ:
-        dictionary, pos = _decode_strings(data)
-        codes = np.empty(count, dtype=np.int64)
-        for i in range(count):
-            codes[i], pos = _read_varint(data, pos)
-        return np.array([dictionary[c] for c in codes], dtype=object)
-    size, pos = _read_varint(data, 0)
-    dictionary_arr = np.empty(size, dtype=np.int64)
-    for i in range(size):
-        z, pos = _read_varint(data, pos)
-        dictionary_arr[i] = _unzigzag(z)
-    codes = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        codes[i], pos = _read_varint(data, pos)
-    return dictionary_arr[codes]
+        strings, pos = _decode_strings(data)
+        dictionary = np.array(strings, dtype=object)
+    else:
+        size, pos = _read_varint(data, 0)
+        zigzags, pos = _read_varints(data, pos, size)
+        dictionary = _unzigzag(zigzags)
+    codes, _ = _read_varints(data, pos, count)
+    return dictionary[codes.astype(np.int64)]
 
 
 def _encode_delta(arr: np.ndarray, dt: int) -> bytes:
@@ -255,16 +257,8 @@ def _encode_delta(arr: np.ndarray, dt: int) -> bytes:
 
 
 def _decode_delta(data: bytes, dt: int, count: int) -> np.ndarray:
-    values = np.empty(count, dtype=np.int64)
-    if count == 0:
-        return values
-    pos = 0
-    z, pos = _read_varint(data, pos)
-    values[0] = _unzigzag(z)
-    for i in range(1, count):
-        z, pos = _read_varint(data, pos)
-        values[i] = values[i - 1] + _unzigzag(z)
-    return values
+    # int64 cumsum wraps exactly like the encoder's np.diff did.
+    return np.cumsum(_unzigzag(_read_varints(data, 0, count)[0]), dtype=np.int64)
 
 
 _ENCODERS = {

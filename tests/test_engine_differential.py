@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro import EonCluster
+from repro.engine import executor
 from repro.errors import QueryCancelled
 from repro.obs.metrics import cluster_metrics
 from repro.sql.parser import parse
@@ -164,6 +165,37 @@ class TestTpchBatchedDifferential:
                 if got != expected:
                     failures.append(f"Q{query.number} @ batch={batch_size}")
         assert not failures, f"digest diverged: {', '.join(failures)}"
+
+    def test_join_index_built_once_per_fragment(self, tpch_cluster, monkeypatch):
+        """A multi-batch, multi-join query builds exactly one JoinIndex per
+        join fragment (join x participant) and probes every batch against
+        it; its rows still equal the materializing run's."""
+        fragments, builds, probes = [], [], []
+
+        class CountingIndex(executor.JoinIndex):
+            def __init__(self, build, keys):
+                builds.append(build.num_rows)
+                super().__init__(build, keys)
+
+            def probe(self, left, left_keys):
+                probes.append(left.num_rows)
+                return super().probe(left, left_keys)
+
+        stream_join = executor.Executor._stream_join
+
+        def counting_stream_join(self, node, participant):
+            fragments.append((id(node), participant))
+            return stream_join(self, node, participant)
+
+        monkeypatch.setattr(executor, "JoinIndex", CountingIndex)
+        monkeypatch.setattr(executor.Executor, "_stream_join", counting_stream_join)
+        query = next(q for q in TPCH_QUERIES if q.number == 5)  # five joins
+        batched = self._run(tpch_cluster, query, batched=True, batch_size=16, sip=False)
+        assert len(set(fragments)) == len(fragments) > 1
+        assert len(builds) == len(fragments)
+        assert len(probes) > 2 * len(builds)  # many batches per index
+        serial = self._run(tpch_cluster, query, batched=False)
+        assert row_digest(batched.rows.to_pylist()) == row_digest(serial.rows.to_pylist())
 
     def test_sip_prunes_probe_side_without_changing_rows(self, tpch_cluster):
         """With SIP *on* (the default), join-heavy queries still return

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro import ColumnType, EonCluster
+from repro import ColumnType, EonCluster, SimClock
 from repro.catalog.mvcc import op_add_column
+from repro.cluster.revive import revive
 from repro.common.types import SchemaColumn
 from repro.errors import (
     OCCConflict,
@@ -123,6 +124,28 @@ class TestRecovery:
     def test_recover_up_node_rejected(self, cluster):
         with pytest.raises(Exception):
             cluster.recover_node("n1")
+
+
+class TestInstanceLossAfterHistoryGap:
+    def test_first_node_rebuilds_from_a_peer(self):
+        """Regression: recovery marks the node UP before a full metadata
+        rebuild, so the rebuild must copy a *peer's* catalog.  With n0
+        first in the node dict it used to copy its own empty catalog and
+        every shard lost its ACTIVE subscribers."""
+        clock = SimClock()
+        original = EonCluster(["n0", "n1", "n2"], shard_count=3, seed=3, clock=clock)
+        original.execute("create table t (a int, b varchar)")
+        original.load("t", [(i, f"g{i % 4}") for i in range(300)])
+        original.graceful_shutdown()
+        # A revived cluster's commit history no longer reaches version 1,
+        # so a node that lost its disk needs the full rebuild.
+        cluster = revive(original.shared, clock=clock)
+        assert next(iter(cluster.nodes)) == "n0"
+        cluster.kill_node("n0", lose_local_disk=True)
+        cluster.load("t", [(1_000, "after")])
+        cluster.recover_node("n0")
+        assert cluster.uncovered_shards() == []
+        assert cluster.query("select count(*) from t").rows.to_pylist() == [(301,)]
 
 
 class TestOCC:
