@@ -11,7 +11,7 @@ test:
 
 # Inner-loop subset: everything except the sim campaigns and slow sweeps.
 test-fast:
-	$(PY) -m pytest -x -q -m "not sim and not slow and not chaos and not wm and not engine and not autoscale and not pushdown and not doctor and not designer"
+	$(PY) -m pytest -x -q -m "not sim and not slow and not chaos and not wm and not autoscale and not pushdown and not doctor and not designer"
 
 # Lint with ruff when available; fall back to a syntax sweep (compileall)
 # so `make lint` is meaningful in offline environments without ruff.
@@ -43,8 +43,8 @@ wm-smoke:
 autoscale-smoke:
 	$(PY) -m pytest tests/test_autoscale_campaign.py -m autoscale -q
 
-# Batched-engine confidence check: the full differential + property wall
-# proving pipelined execution bit-identical to the materializing engine.
+# Engine confidence check: join-fragment, interrupt and metrics tests, plus
+# the property tests comparing query answers against stdlib sqlite3.
 engine-smoke:
 	$(PY) -m pytest tests/test_engine_differential.py tests/test_engine_property.py -m engine -q
 

@@ -148,78 +148,6 @@ def test_fig10_io_scheduler_ablation(benchmark, eon_tpch_pair):
     assert io_stats["coalesced_gets"] > 0
 
 
-def test_fig10_batched_pipeline(benchmark, eon_tpch_pair):
-    """Cold-depot TPC-H: materializing volcano engine vs the pipelined
-    batch engine (SIP on, driver prefetch pooled across the query).
-
-    The acceptance bar for the batch engine: >= 2x simulated wall-clock
-    reduction over the whole suite, with bit-identical rows (the identity
-    itself is proven by ``tests/test_engine_differential.py``; here we
-    record the speedup into the benchmark trajectory)."""
-    cluster, _ = eon_tpch_pair
-    rows_box = {}
-
-    def run():
-        rows = []
-        totals = {"serial_s": 0.0, "batched_s": 0.0}
-        for query in TPCH_QUERIES:
-            for node in cluster.nodes.values():
-                node.cache.clear()
-            serial_s = cluster.query(
-                query.sql, seed=query.number, batched=False
-            ).stats.latency_seconds
-            for node in cluster.nodes.values():
-                node.cache.clear()
-            batched_s = cluster.query(
-                query.sql, seed=query.number, batched=True, batch_size=256
-            ).stats.latency_seconds
-            totals["serial_s"] += serial_s
-            totals["batched_s"] += batched_s
-            rows.append([
-                f"Q{query.number}", serial_s * 1000, batched_s * 1000,
-                serial_s / batched_s if batched_s else float("inf"),
-            ])
-        rows_box["rows"] = rows
-        rows_box["totals"] = totals
-        return totals["batched_s"]
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    totals = rows_box["totals"]
-    speedup = totals["serial_s"] / totals["batched_s"]
-    emit(format_table(
-        "Pipelined batch engine — cold-depot TPC-H (simulated, 4 nodes)",
-        ["query", "materializing ms", "batched ms", "speedup"],
-        rows_box["rows"],
-    ))
-    emit(
-        f"suite wall-clock: {totals['serial_s'] * 1000:.0f}ms materializing"
-        f" -> {totals['batched_s'] * 1000:.0f}ms batched"
-        f" ({speedup:.2f}x)"
-    )
-    engine = cluster_metrics(cluster)["engine"]
-    write_bench_json(
-        "fig10_batched_pipeline",
-        {
-            "figure": "fig10-batched",
-            "queries": {
-                name: {
-                    "materializing_cold_ms": serial_ms,
-                    "batched_cold_ms": batched_ms,
-                    "speedup": ratio,
-                }
-                for name, serial_ms, batched_ms, ratio in rows_box["rows"]
-            },
-            "suite_speedup": speedup,
-            "batch_size": 256,
-        },
-        metrics=cluster_metrics(cluster),
-    )
-    # Acceptance: >= 2x over the suite, and the engine actually pipelined.
-    assert speedup >= 2.0, f"only {speedup:.2f}x faster"
-    assert engine["batches"] > 0
-    assert engine["io_serial_seconds"] > engine["io_pipelined_seconds"]
-
-
 def test_fig10_cache_hit_behavior(benchmark, eon_tpch):
     """Second run of a query must be fully cache-resident."""
 

@@ -48,7 +48,7 @@ def _cold(cluster, sql, mode):
     for node in cluster.nodes.values():
         node.cache.clear()
     dollars_before = cluster.shared.metrics.dollars
-    result = cluster.query(sql, batched=False, pushdown=mode, seed=1)
+    result = cluster.query(sql, pushdown=mode, seed=1)
     return (
         result.stats.latency_seconds,
         cluster.shared.metrics.dollars - dollars_before,
@@ -143,8 +143,8 @@ def test_pushdown_auto_goes_depot_when_warm(benchmark, frontier_cluster):
     query = TPCH_QUERIES[5]  # Q6: the most pushdown-friendly query cold.
 
     def run():
-        cluster.query(query.sql, batched=False, pushdown="off", seed=1)
-        return cluster.query(query.sql, batched=False, pushdown="auto", seed=1)
+        cluster.query(query.sql, pushdown="off", seed=1)
+        return cluster.query(query.sql, pushdown="auto", seed=1)
 
     warm = benchmark.pedantic(run, rounds=1, iterations=1)
     assert warm.stats.total_pushdown_scans == 0

@@ -29,9 +29,8 @@ from repro.catalog.transaction_log import LogRecord
 from repro.cluster.node import Node, NodeState
 from repro.common.clock import SimClock
 from repro.common.types import ColumnType, SchemaColumn, TableSchema
-from repro.engine.cost import CostModel
+from repro.engine.cost import CostModel, EngineStats
 from repro.engine.executor import Executor, QueryResult, ScanResult, StorageProvider
-from repro.engine.pipeline import EngineStats
 from repro.engine.expressions import Expr
 from repro.engine.planner import plan_query
 from repro.engine.pruning import prune_containers
@@ -85,8 +84,6 @@ class EnterpriseCluster:
         seed: int = 0,
         clock: Optional[SimClock] = None,
         cost_model: Optional[CostModel] = None,
-        batched: bool = False,
-        batch_size: int = 1024,
     ):
         if len(node_names) < 1:
             raise ValueError("cluster needs at least one node")
@@ -119,11 +116,6 @@ class EnterpriseCluster:
         #: every node lands in the shared ``general`` pool — and every
         #: query takes a slot on every node, the paper's scaling penalty.
         self.admission = AdmissionController(self)
-        #: Default execution mode; per-query kwargs override it.  The
-        #: Enterprise provider has no I/O scheduler, so batched mode here
-        #: exercises streaming/SIP without pooled lane charging.
-        self.batched = batched
-        self.batch_size = batch_size
         self.engine_stats = EngineStats()
 
     # -- membership -------------------------------------------------------------
@@ -450,9 +442,6 @@ class EnterpriseCluster:
         seed: Optional[int] = None,
         session: Optional[EnterpriseSession] = None,
         ticket=None,
-        batched: Optional[bool] = None,
-        batch_size: Optional[int] = None,
-        sip: bool = True,
         pushdown: str = "off",
     ) -> QueryResult:
         from collections import Counter
@@ -480,15 +469,12 @@ class EnterpriseCluster:
                 executor = Executor(
                     provider,
                     self.cost_model,
-                    batched=self.batched if batched is None else batched,
-                    batch_size=self.batch_size if batch_size is None else batch_size,
-                    sip=sip,
                     # Local-disk provider: ``set_pushdown`` is the ABC no-op,
                     # so the option is accepted for API parity but inert.
                     pushdown=pushdown,
                 )
                 result = executor.execute(plan)
-                self.engine_stats.note(executor)
+                self.engine_stats.note(executor.stats)
                 if ticket is not None and ticket.queue_wait_seconds:
                     result.stats.dispatch_seconds += ticket.queue_wait_seconds
                 return result

@@ -53,9 +53,8 @@ from repro.cluster.session import EonSession, EonStorageProvider
 from repro.cluster.transactions import CommitCoordinator, Transaction
 from repro.common.clock import SimClock
 from repro.common.types import ColumnType, SchemaColumn, TableSchema
-from repro.engine.cost import CostModel
+from repro.engine.cost import CostModel, EngineStats
 from repro.engine.executor import Executor, QueryResult
-from repro.engine.pipeline import EngineStats
 from repro.engine.planner import plan_query, plan_slot_demand
 from repro.errors import (
     CatalogError,
@@ -107,8 +106,6 @@ class EonCluster:
         observability: Optional[Observability] = None,
         parallel_io: bool = True,
         io_config: Optional[IOSchedulerConfig] = None,
-        batched: bool = False,
-        batch_size: int = 1024,
         pushdown: str = "auto",
         _bootstrap: bool = True,
     ):
@@ -140,10 +137,6 @@ class EonCluster:
         self.io_scheduler = (
             IOScheduler(self, io_config) if parallel_io else None
         )
-        #: Default execution mode for queries; per-query ``batched=`` /
-        #: ``batch_size=`` / ``sip=`` session options override it.
-        self.batched = batched
-        self.batch_size = batch_size
         #: Default scan-strategy policy (``auto`` | ``on`` | ``off``);
         #: the per-query ``pushdown=`` session option overrides it.
         self.pushdown = pushdown
@@ -856,14 +849,9 @@ class EonCluster:
         ticket=None,
         **session_options,
     ) -> QueryResult:
-        # Engine options are executor-level, not session-level: pop them
-        # before anything (crunch probe, create_session) sees the kwargs.
-        engine_options = {
-            "batched": session_options.pop("batched", self.batched),
-            "batch_size": session_options.pop("batch_size", self.batch_size),
-            "sip": session_options.pop("sip", True),
-            "pushdown": session_options.pop("pushdown", self.pushdown),
-        }
+        # Pushdown is executor-level, not session-level: pop it before
+        # anything (crunch probe, create_session) sees the kwargs.
+        pushdown = session_options.pop("pushdown", self.pushdown)
         if session is None and session_options.get("crunch") == "auto":
             session_options["crunch"] = self._choose_crunch_mode(
                 statement, **{k: v for k, v in session_options.items() if k != "crunch"}
@@ -889,7 +877,7 @@ class EonCluster:
                 # retries; without one, each attempt admits itself.
                 return self._execute_statement(
                     statement, current, request_text, penalty, ticket,
-                    engine_options,
+                    pushdown,
                 )
             except (NodeDown, TransientStorageError) as exc:
                 attempt += 1
@@ -932,7 +920,7 @@ class EonCluster:
         request_text: Optional[str],
         penalty: float = 0.0,
         ticket=None,
-        engine_options: Optional[Dict[str, object]] = None,
+        pushdown: str = "auto",
     ) -> QueryResult:
         """One execution attempt against an already-selected session."""
         snapshot = session.snapshots[session.initiator]
@@ -971,7 +959,7 @@ class EonCluster:
             record = self.obs.enabled and not system_names
             executor = Executor(
                 provider, self.cost_model, obs=self.obs if record else None,
-                **(engine_options or {}),
+                pushdown=pushdown,
             )
             if not record:
                 result = executor.execute(plan)
@@ -983,7 +971,7 @@ class EonCluster:
                     penalty=penalty, queue_wait=queue_wait,
                     had_ticket=ticket is not None,
                 )
-            self.engine_stats.note(executor)
+            self.engine_stats.note(executor.stats)
             return result
         finally:
             if own_ticket is not None:

@@ -102,8 +102,6 @@ class EonStorageProvider(StorageProvider):
         cost = getattr(self.cluster.shared, "cost", None)
         #: Dollars per GET on the shared backend (0 for cost-free backends).
         self._get_dollars = cost.get_cost() if cost is not None else 0.0
-        #: Set by the batched executor; scans defer lane charging into it.
-        self._pipeline = None
         #: Pushdown mode (off | auto | on), set by the executor from the
         #: session option; and the planner's per-scan eligibility hint.
         self._pushdown = "off"
@@ -120,17 +118,6 @@ class EonStorageProvider(StorageProvider):
 
     def initiator(self) -> str:
         return self.session.initiator
-
-    def make_pipeline_charges(self):
-        scheduler = getattr(self.cluster, "io_scheduler", None)
-        if scheduler is None:
-            return None
-        from repro.engine.pipeline import PipelineCharges
-
-        return PipelineCharges(self.cluster.clock, scheduler.config.lanes)
-
-    def attach_pipeline(self, charges) -> None:
-        self._pipeline = charges
 
     @property
     def preserves_segmentation(self) -> bool:
@@ -225,7 +212,6 @@ class EonStorageProvider(StorageProvider):
             batch = scheduler.fetch_batch(
                 node, fetch_requests, session.use_cache, result,
                 cancelled=lambda: session.cancelled,
-                pool=self._pipeline,
                 background_keys=pushdown_keys or None,
             )
         # Selects run after the batch so the GET request (and fault-draw)
@@ -235,7 +221,6 @@ class EonStorageProvider(StorageProvider):
             selects = scheduler.pushdown_batch(
                 node, pushdown_items, result,
                 cancelled=lambda: session.cancelled,
-                pool=self._pipeline,
             )
 
         # Pass 2: scan the containers (bytes come out of the batch; any

@@ -9,6 +9,7 @@ group-bys, container/block pruning from min/max statistics, and the crunch
 scaling mechanisms of section 4.4.
 """
 
+from repro.engine.cost import EngineStats
 from repro.engine.expressions import (
     BinaryOp,
     CaseWhen,
@@ -29,7 +30,6 @@ from repro.engine.operators import (
     join_match_mask,
     sort_limit,
 )
-from repro.engine.pipeline import EngineStats, PipelineCharges, chunk_rows
 from repro.engine.plan import (
     AggregateNode,
     FilterNode,
@@ -59,8 +59,6 @@ __all__ = [
     "join_match_mask",
     "sort_limit",
     "EngineStats",
-    "PipelineCharges",
-    "chunk_rows",
     "PlanNode",
     "ScanNode",
     "FilterNode",

@@ -9,7 +9,7 @@ latency, network shipping — are realistic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 
@@ -121,6 +121,24 @@ class QueryStats:
     @property
     def total_bytes_scanned(self) -> int:
         return sum(w.bytes_scanned for w in self.per_node.values())
+
+
+@dataclass
+class EngineStats:
+    """Cluster-lifetime server-side pushdown accounting (the ``engine``
+    section of :func:`repro.obs.metrics.cluster_metrics`): containers
+    answered by ``select_scan`` and the stored bytes those selects touched."""
+
+    pushdown_scans: int = 0
+    bytes_scanned: int = 0
+
+    def note(self, stats: QueryStats) -> None:
+        """Fold one finished query's counters in."""
+        self.pushdown_scans += stats.total_pushdown_scans
+        self.bytes_scanned += stats.total_bytes_scanned
+
+    def as_dict(self) -> Dict[str, object]:
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

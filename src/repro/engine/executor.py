@@ -5,24 +5,9 @@ Executes a :class:`~repro.engine.planner.PhysicalPlan` against a
 Subtrees without aggregation run as per-participant *fragments* whose
 results are gathered to the initiator; aggregation marks the fragment
 boundary (one-phase, two-phase partial/final, or gather-and-aggregate),
-and everything above it runs on the initiator.
-
-Fragments run in one of two modes:
-
-* **materializing** (default): every operator evaluates its whole input
-  before the next starts — the volcano baseline and the differential
-  oracle;
-* **batched** (``batched=True``): scan→filter→project→join chains stream
-  fixed-size row batches through fused generators.  Joins build once, then
-  probe batch-at-a-time; single-key inner joins push an IN-list of build
-  key values sideways (SIP) into the probe-side scan's predicate so
-  container/block pruning and the I/O scheduler fetch less; and each
-  scan's fetch durations are pooled per node and settled once per query
-  (:class:`~repro.engine.pipeline.PipelineCharges`) — the pipeline driver
-  keeps prefetch lanes full across scan boundaries instead of draining
-  them at every operator.  Aggregates and sorts stay materializing
-  pipeline breakers so results (including float summation order) are
-  bit-identical to the materializing path.
+and everything above it runs on the initiator.  Every operator evaluates
+its whole input before the next starts, and each join fragment builds one
+:class:`~repro.engine.operators.JoinIndex` (inside :func:`hash_join`).
 
 The provider tells the executor whether the session's data placement still
 preserves the segmentation property (it does not under container-split
@@ -41,18 +26,16 @@ import numpy as np
 
 from repro.common.types import SchemaColumn, TableSchema
 from repro.engine.cost import CostModel, QueryStats
-from repro.engine.expressions import BinaryOp, ColumnRef, Expr, InList
+from repro.engine.expressions import Expr
 # The executor calls operators through these module-level names, which
 # eonbench/spans.py wraps to time each layer; join_match_mask stays
-# importable here for that wrapper although the executor no longer calls it.
+# importable here for that wrapper although the executor does not call it.
 from repro.engine.operators import (  # noqa: F401
-    JoinIndex,
     aggregate,
     hash_join,
     join_match_mask,
     sort_limit,
 )
-from repro.engine.pipeline import PipelineCharges, chunk_rows
 from repro.engine.plan import (
     AggregateNode,
     FilterNode,
@@ -62,7 +45,6 @@ from repro.engine.plan import (
     ProjectNode,
     ScanNode,
     SortNode,
-    has_node,
 )
 from repro.engine.planner import PhysicalPlan
 from repro.errors import ExecutionError
@@ -138,20 +120,6 @@ class StorageProvider(abc.ABC):
         """
         return None
 
-    # -- pipelined (batched) execution hooks -----------------------------------
-    # Providers with a parallel I/O scheduler override these so the batched
-    # executor can pool fetch charges across scans; the defaults keep every
-    # other provider on per-scan charging.
-
-    def make_pipeline_charges(self) -> Optional[PipelineCharges]:
-        """Return a fresh per-query charge pool, or None when the provider
-        has no lane-scheduled I/O to pool."""
-        return None
-
-    def attach_pipeline(self, charges: Optional[PipelineCharges]) -> None:
-        """Route subsequent scans' fetch charging through ``charges``."""
-        return None
-
 
 @dataclass
 class QueryResult:
@@ -173,18 +141,11 @@ def rowset_bytes(rows: RowSet) -> int:
 
 
 class Executor:
-    #: Build sides with more distinct keys than this don't produce a SIP
-    #: filter — an IN-list that long prunes nothing and bloats predicates.
-    SIP_MAX_KEYS = 4096
-
     def __init__(
         self,
         provider: StorageProvider,
         cost_model: Optional[CostModel] = None,
         obs=None,
-        batched: bool = False,
-        batch_size: int = 1024,
-        sip: bool = True,
         pushdown: str = "auto",
     ):
         self.provider = provider
@@ -201,16 +162,6 @@ class Executor:
         # single attribute check (the zero-overhead-when-disabled contract).
         self._obs = obs if (obs is not None and obs.enabled) else None
         self.op_profiles: List = []
-        self.batched = bool(batched)
-        self.batch_size = int(batch_size)
-        if self.batched and self.batch_size < 1:
-            raise ExecutionError(f"batch_size must be >= 1, got {batch_size}")
-        self.sip_enabled = bool(sip) and self.batched
-        self.pipeline: Optional[PipelineCharges] = None
-        self.batches_emitted = 0
-        self.sip_filters_built = 0
-        # (id(scan_node), participant) -> {id(join): IN-list expression}
-        self._sip_filters: Dict[Tuple[int, str], Dict[int, Expr]] = {}
 
     # -- public ------------------------------------------------------------------
 
@@ -219,27 +170,13 @@ class Executor:
         self.stats.dispatch_seconds = self.cost.dispatch_seconds
         self._broadcast_cache = {}
         self.op_profiles = []
-        self._sip_filters = {}
-        self.batches_emitted = 0
-        self.sip_filters_built = 0
-        self.pipeline = None
-        if self.batched:
-            self.pipeline = self.provider.make_pipeline_charges()
-            self.provider.attach_pipeline(self.pipeline)
         if plan.single_node:
             self._participants = [self.provider.initiator()]
         else:
             self._participants = self.provider.participants()
         if not self._participants:
             raise ExecutionError("no participating nodes")
-        try:
-            rows = self._eval_top(plan.root)
-        finally:
-            if self.pipeline is not None:
-                self._settle_pipeline()
-                self.provider.attach_pipeline(None)
-        if self.batched:
-            self._note_pipeline(rows)
+        rows = self._eval_top(plan.root)
         if self._obs is not None and self.stats.total_pushdown_scans:
             self._obs.metrics.counter("engine.pushdown_scans").inc(
                 self.stats.total_pushdown_scans
@@ -248,29 +185,6 @@ class Executor:
                 self.stats.total_bytes_scanned
             )
         return QueryResult(rows=rows, stats=self.stats, plan=plan)
-
-    def _settle_pipeline(self) -> None:
-        """Charge each node's pooled fetch durations as one lane schedule —
-        the whole query's fetches behave like a single prefetch stream."""
-        for node_name, makespan in self.pipeline.settle().items():
-            self.stats.node(node_name).io_seconds += makespan
-
-    def _note_pipeline(self, rows: RowSet) -> None:
-        if self._obs is None:
-            return
-        self._obs.metrics.counter("engine.batches").inc(self.batches_emitted)
-        if self.sip_filters_built:
-            self._obs.metrics.counter("engine.sip_filters").inc(self.sip_filters_built)
-        pooled = self.pipeline
-        self._obs.tracer.record(
-            "pipeline",
-            duration=pooled.pipelined_seconds if pooled else 0.0,
-            batches=self.batches_emitted,
-            batch_size=self.batch_size,
-            sip_filters=self.sip_filters_built,
-            io_serial_seconds=pooled.serial_seconds if pooled else 0.0,
-            rows=rows.num_rows,
-        )
 
     # -- initiator-side evaluation ----------------------------------------------
 
@@ -300,12 +214,6 @@ class Executor:
             return sort_limit(rows, node.order)
         if isinstance(node, LimitNode):
             stop = None if node.limit is None else node.offset + node.limit
-            if self.batched and stop is not None and self._is_fragment_safe(node.child):
-                # Streaming LIMIT: stop pulling batches once enough rows
-                # arrived.  Participants and batches are consumed in the
-                # same order the materializing path concatenates them, so
-                # the kept prefix is identical.
-                return self._gather_limited(node.child, stop).slice(node.offset, stop)
             rows = self._eval_top(node.child)
             return rows.slice(node.offset, stop)
         raise ExecutionError(
@@ -380,35 +288,6 @@ class Executor:
         fragments = [self._run_fragment(node, p) for p in self._participants]
         return self._collect(fragments)
 
-    def _gather_limited(self, node: PlanNode, stop: int) -> RowSet:
-        """Gather fragments but stop consuming batches at ``stop`` rows.
-
-        Abandoned generators never run their remaining batches — scans on
-        later participants may not fetch at all, which is the LIMIT
-        early-exit the streaming engine buys (row content of the kept
-        prefix is unchanged)."""
-        collected: List[RowSet] = []
-        taken = 0
-        for participant in self._participants:
-            per_node: List[RowSet] = []
-            done = False
-            for batch in self._stream_fragment(node, participant):
-                per_node.append(batch)
-                taken += batch.num_rows
-                if taken >= stop:
-                    done = True
-                    break
-            non_empty = [p for p in per_node if p.num_rows]
-            if non_empty:
-                collected.append(RowSet.concat(non_empty))
-            elif per_node:
-                collected.append(per_node[0])
-            if done:
-                break
-        # _collect zips against participants; a truncated list only charges
-        # network for the fragments actually shipped.
-        return self._collect(collected)
-
     def _collect(self, parts: List[RowSet]) -> RowSet:
         """Concatenate per-node results, charging network for shipping."""
         initiator = self.provider.initiator()
@@ -468,25 +347,13 @@ class Executor:
         trace's fragment durations reconcile with ``QueryStats``.
         """
         if self._obs is None:
-            return self._fragment_rows(node, participant)
+            return self._eval_fragment(node, participant)
         busy_before = self.stats.node(participant).busy_seconds
         with self._obs.tracer.span("fragment", node=participant) as span:
-            rows = self._fragment_rows(node, participant)
+            rows = self._eval_fragment(node, participant)
             span.duration = self.stats.node(participant).busy_seconds - busy_before
             span.annotate(rows=rows.num_rows)
         return rows
-
-    def _fragment_rows(self, node: PlanNode, participant: str) -> RowSet:
-        """Evaluate a fragment fully: materializing directly, or by
-        draining the batched stream (the result rows are identical — the
-        stream is consecutive slices of the same evaluation order)."""
-        if not self.batched:
-            return self._eval_fragment(node, participant)
-        parts = list(self._stream_fragment(node, participant))
-        non_empty = [p for p in parts if p.num_rows]
-        if non_empty:
-            return RowSet.concat(non_empty)
-        return parts[0]
 
     def _eval_fragment(self, node: PlanNode, participant: str) -> RowSet:
         work = self.stats.node(participant)
@@ -583,7 +450,7 @@ class Executor:
         """Gather a build side once, ship it to every participant."""
         key = id(node)
         if key not in self._broadcast_cache:
-            fragments = [self._fragment_rows(node, p) for p in self._participants]
+            fragments = [self._eval_fragment(node, p) for p in self._participants]
             full = RowSet.concat(fragments)
             nbytes = rowset_bytes(full)
             fanout = max(len(self._participants) - 1, 1)
@@ -593,194 +460,6 @@ class Executor:
             )
             self._broadcast_cache[key] = full
         return self._broadcast_cache[key]
-
-    # -- batched (pipelined) fragment evaluation -----------------------------------
-
-    def _stream_fragment(self, node: PlanNode, participant: str):
-        """Yield a fragment's rows as consecutive batches.
-
-        Generators are lazy: nothing below runs until the first batch is
-        pulled.  Join builds therefore complete top-down along the probe
-        spine *before* the bottom scan executes — which is exactly the
-        ordering SIP needs to land every IN-list in the scan's predicate.
-        """
-        work = self.stats.node(participant)
-        if isinstance(node, ScanNode):
-            predicate = self._effective_predicate(node, participant)
-            self._hint_pushdown(node)
-            result = self.provider.scan(
-                participant,
-                node.projection,
-                node.columns,
-                predicate,
-                node.replicated,
-            )
-            work.io_seconds += result.io_seconds
-            work.bytes_from_cache += result.bytes_from_cache
-            work.bytes_from_shared += result.bytes_from_shared
-            work.rows_scanned += result.rows.num_rows + result.pushdown_rows_filtered
-            work.containers_scanned += result.containers_scanned
-            work.containers_pruned += result.containers_pruned
-            work.blocks_pruned += result.blocks_pruned
-            work.prefetch_hits += result.prefetch_hits
-            work.peer_fetches += result.peer_fetches
-            work.coalesced_gets += result.coalesced_gets
-            work.pushdown_scans += result.pushdown_scans
-            work.bytes_scanned += result.bytes_scanned
-            decode_cpu = (
-                result.rows.num_rows * len(node.columns) * self.cost.cell_cpu_seconds
-            )
-            work.cpu_seconds += decode_cpu
-            op_seconds = result.io_seconds + decode_cpu
-            total_out = 0
-            for batch in chunk_rows(result.rows, self.batch_size):
-                self.batches_emitted += 1
-                out = batch
-                if predicate is not None:
-                    predicate_cpu = batch.num_rows * self.cost.row_cpu_seconds
-                    work.cpu_seconds += predicate_cpu
-                    op_seconds += predicate_cpu
-                    if batch.num_rows:
-                        out = batch.filter(predicate.evaluate(batch).astype(bool))
-                    work.rows_processed += out.num_rows
-                total_out += out.num_rows
-                yield out
-            self._note_op(
-                "Scan", participant, total_out, op_seconds,
-                bytes_from_cache=result.bytes_from_cache,
-                bytes_from_shared=result.bytes_from_shared,
-                depot_hits=result.depot_hits,
-                depot_misses=result.depot_misses,
-                s3_requests=result.s3_requests,
-                s3_dollars=result.s3_dollars,
-                detail=node.projection,
-                scan_strategy=result.scan_strategy,
-            )
-            return
-        if isinstance(node, FilterNode):
-            total_in = total_out = 0
-            for batch in self._stream_fragment(node.child, participant):
-                work.cpu_seconds += batch.num_rows * self.cost.row_cpu_seconds
-                out = batch
-                if batch.num_rows:
-                    out = batch.filter(node.predicate.evaluate(batch).astype(bool))
-                total_in += batch.num_rows
-                total_out += out.num_rows
-                yield out
-            self._note_op("Filter", participant, total_out,
-                          total_in * self.cost.row_cpu_seconds)
-            return
-        if isinstance(node, ProjectNode):
-            total = 0
-            for batch in self._stream_fragment(node.child, participant):
-                work.cpu_seconds += batch.num_rows * self.cost.row_cpu_seconds
-                total += batch.num_rows
-                yield _project(batch, node.outputs)
-            self._note_op("Project", participant, total,
-                          total * self.cost.row_cpu_seconds)
-            return
-        if isinstance(node, JoinNode):
-            yield from self._stream_join(node, participant)
-            return
-        raise ExecutionError(
-            f"node type {type(node).__name__} cannot appear inside a fragment"
-        )
-
-    def _stream_join(self, node: JoinNode, participant: str):
-        """Build once, then stream probe batches through the join.
-
-        One :class:`JoinIndex` over the build side serves every probe
-        batch.  Inner joins gather each batch's matches directly; the
-        per-batch outputs concatenate to exactly the materializing join's
-        output (probe order × build order).  LEFT joins take each batch's
-        match mask from the same probe, emit the matched rows per batch,
-        and hold the unmatched rows for one padded tail batch —
-        reproducing the serial all-matched-then-all-unmatched row order.
-        """
-        work = self.stats.node(participant)
-        locality = node.locality
-        if locality == "local" and not self.provider.preserves_segmentation:
-            # Container-split crunch broke co-location; replicated build
-            # sides are still safe, segmented ones must be broadcast.
-            if not (isinstance(node.right, ScanNode) and node.right.replicated):
-                locality = "broadcast"
-        if locality == "local":
-            right = self._fragment_rows(node.right, participant)
-        else:
-            right = self._broadcast(node.right, participant)
-        self._register_sip(node, right, participant)
-        index = JoinIndex(right, node.right_keys)
-        left_keys = list(node.left_keys)
-        build_cpu_charged = False
-        total_in = total_out = 0
-        unmatched: List[RowSet] = []
-        for batch in self._stream_fragment(node.left, participant):
-            if not build_cpu_charged:
-                work.cpu_seconds += right.num_rows * self.cost.row_cpu_seconds
-                build_cpu_charged = True
-            probe = index.probe(batch, left_keys)
-            if node.how == "left":
-                missed = batch.filter(probe[2] == 0)
-                if missed.num_rows:
-                    unmatched.append(missed)
-            out = index.gather(batch, probe, "inner")
-            join_cpu = (batch.num_rows + out.num_rows) * self.cost.row_cpu_seconds
-            work.cpu_seconds += join_cpu
-            work.rows_processed += out.num_rows
-            total_in += batch.num_rows
-            total_out += out.num_rows
-            yield out
-        if not build_cpu_charged:
-            work.cpu_seconds += right.num_rows * self.cost.row_cpu_seconds
-        if node.how == "left" and unmatched:
-            missed = RowSet.concat(unmatched)
-            tail = index.gather(missed, index.probe(missed, left_keys), "left")
-            join_cpu = (tail.num_rows * 2) * self.cost.row_cpu_seconds
-            work.cpu_seconds += join_cpu
-            work.rows_processed += tail.num_rows
-            total_out += tail.num_rows
-            yield tail
-        self._note_op(
-            "Join", participant, total_out,
-            (total_in + right.num_rows + total_out) * self.cost.row_cpu_seconds,
-            detail=f"{locality} {node.how} batched",
-        )
-
-    def _register_sip(self, join: JoinNode, build_rows: RowSet, participant: str) -> None:
-        """Push an IN-list of build-side key values into the probe scan.
-
-        Skipped for float keys (NaN equality differs between dict probing
-        and array membership), for builds containing NULL keys (``None``
-        probes match ``None`` builds in :func:`hash_join`, which
-        ``InList.could_match`` pruning would not honour), and for builds
-        wider than ``SIP_MAX_KEYS``.  An *empty* build is pushed: the empty
-        IN-list prunes every container, matching the empty inner-join
-        output."""
-        if not self.sip_enabled or join.how != "inner":
-            return
-        target, column = join.sip_scan, join.sip_column
-        if target is None or column is None:
-            return
-        registered = self._sip_filters.setdefault((id(target), participant), {})
-        if id(join) in registered:
-            return
-        key_col = build_rows.column(join.right_keys[0])
-        if key_col.dtype.kind == "f":
-            return
-        values = set(key_col.tolist())
-        if None in values or len(values) > self.SIP_MAX_KEYS:
-            return
-        registered[id(join)] = InList(ColumnRef(column), tuple(sorted(values)))
-        self.sip_filters_built += 1
-
-    def _effective_predicate(self, node: ScanNode, participant: str) -> Optional[Expr]:
-        extra = self._sip_filters.get((id(node), participant))
-        if not extra:
-            return node.predicate
-        predicate = node.predicate
-        for expr in extra.values():  # insertion order: deterministic
-            predicate = expr if predicate is None else BinaryOp("and", predicate, expr)
-        return predicate
 
 
 def _project(rows: RowSet, outputs: Tuple[Tuple[str, Expr], ...]) -> RowSet:

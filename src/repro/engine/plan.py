@@ -49,7 +49,7 @@ class ScanNode(PlanNode):
     #: True when the projection is replicated — only one participant scans.
     replicated: bool = False
     #: Set by the planner when this scan is a candidate for server-side
-    #: pushdown (selective bounded predicate, or a SIP filter will arrive);
+    #: pushdown (bounded column predicate);
     #: the per-container strategy decision still rests with the cost model.
     pushdown_eligible: bool = False
 
@@ -95,22 +95,14 @@ class JoinNode(PlanNode):
     right_keys: Tuple[str, ...]
     how: str = "inner"
     locality: str = "local"  # "local" | "broadcast"
-    #: SIP (sideways information passing) target, resolved at plan time:
-    #: the probe-spine ScanNode producing the probe key (and the key's name
-    #: at that scan), when the key traces to a base column.  The batched
-    #: executor pushes an IN-list built from the join's build side into
-    #: that scan's predicate.
-    sip_scan: Optional[ScanNode] = None
-    sip_column: Optional[str] = None
 
     def children(self) -> List[PlanNode]:
         return [self.left, self.right]
 
     def _label(self) -> str:
-        sip = f" sip={self.sip_column}" if self.sip_scan is not None else ""
         return (
             f"Join {self.how} on {list(self.left_keys)}={list(self.right_keys)} "
-            f"[{self.locality}]{sip}"
+            f"[{self.locality}]"
         )
 
 
@@ -166,39 +158,3 @@ def walk(plan: PlanNode):
 
 def has_node(plan: PlanNode, node_type: type) -> bool:
     return any(isinstance(n, node_type) for n in walk(plan))
-
-
-def probe_spine_scan(
-    node: PlanNode, key: str
-) -> Tuple[Optional[ScanNode], Optional[str]]:
-    """Trace a probe-side join key down the left (probe) spine to the
-    ScanNode whose base column produces it.
-
-    Filters pass the name through; projections are followed only when the
-    output is a bare column reference (renames are rewritten); intermediate
-    joins descend their own probe side.  Returns ``(None, None)`` when the
-    key is computed, comes from a build side, or is not a scanned column —
-    those joins simply get no SIP filter.
-    """
-    from repro.engine.expressions import ColumnRef
-
-    current, name = node, key
-    while True:
-        if isinstance(current, ScanNode):
-            if name in current.columns:
-                return current, name
-            return None, None
-        if isinstance(current, FilterNode):
-            current = current.child
-            continue
-        if isinstance(current, ProjectNode):
-            expr = dict(current.outputs).get(name)
-            if isinstance(expr, ColumnRef):
-                name = expr.name
-                current = current.child
-                continue
-            return None, None
-        if isinstance(current, JoinNode):
-            current = current.left
-            continue
-        return None, None

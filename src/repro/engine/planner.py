@@ -36,7 +36,6 @@ from repro.engine.plan import (
     ProjectNode,
     ScanNode,
     SortNode,
-    probe_spine_scan,
     walk,
 )
 from repro.errors import PlanningError
@@ -155,7 +154,6 @@ def plan_query(bound: BoundQuery, catalog: CatalogState) -> PhysicalPlan:
     if bound.limit is not None or bound.offset:
         node = LimitNode(node, bound.limit, bound.offset)
 
-    _annotate_sip(node)
     _annotate_pushdown(node)
     return PhysicalPlan(
         root=node,
@@ -165,50 +163,25 @@ def plan_query(bound: BoundQuery, catalog: CatalogState) -> PhysicalPlan:
     )
 
 
-def _annotate_sip(root: PlanNode) -> None:
-    """Resolve each inner equi-join's SIP target at plan time.
-
-    Single-key inner joins whose probe key traces to a base column of a
-    probe-spine scan are annotated with that scan; the batched executor
-    pushes an IN-list of build-side key values into the scan's predicate
-    (sideways information passing), shrinking what the scan fetches and
-    decodes.  Multi-key and outer joins are left alone.
-    """
-    for n in walk(root):
-        if (
-            isinstance(n, JoinNode)
-            and n.how == "inner"
-            and len(n.left_keys) == 1
-        ):
-            n.sip_scan, n.sip_column = probe_spine_scan(n.left, n.left_keys[0])
-
-
 def _annotate_pushdown(root: PlanNode) -> None:
     """Mark scans that are candidates for server-side pushdown.
 
-    A scan is eligible when its effective predicate can shrink what
-    shared storage must return: it carries a bounded column predicate
+    A scan is eligible when its predicate can shrink what shared storage
+    must return: it carries a bounded column predicate
     (``extract_column_bounds`` finds at least one interval — the same
-    bounds container pruning uses), or a SIP IN-list will be merged into
-    it at execution time.  Replicated projections stay ineligible: they
-    are small by construction and every node scans all of them, so the
-    depot pays for itself immediately.  Eligibility is a *candidacy*
+    bounds container pruning uses).  Replicated projections stay
+    ineligible: they are small by construction and every node scans all of
+    them, so the depot pays for itself immediately.  Eligibility is a *candidacy*
     marker; the cost model still decides per container.
     """
     from repro.engine.expressions import extract_column_bounds
 
-    sip_targets = {
-        id(n.sip_scan)
-        for n in walk(root)
-        if isinstance(n, JoinNode) and n.sip_scan is not None
-    }
     for n in walk(root):
         if not isinstance(n, ScanNode) or n.replicated:
             continue
-        bounded = (
+        n.pushdown_eligible = (
             n.predicate is not None and bool(extract_column_bounds(n.predicate))
         )
-        n.pushdown_eligible = bounded or id(n) in sip_targets
 
 
 # ---------------------------------------------------------------------------

@@ -256,7 +256,7 @@ class IOScheduler:
     # -- the batch fetch -------------------------------------------------------
 
     def fetch_batch(
-        self, node, requests, use_cache, result, cancelled=None, pool=None,
+        self, node, requests, use_cache, result, cancelled=None,
         background_keys=None,
     ) -> FetchBatch:
         """Fetch a scan's file set; returns the bytes keyed by storage name.
@@ -267,13 +267,6 @@ class IOScheduler:
         nullary callable) is polled between fetch units: queries must stay
         cancellable at file boundaries even mid-batch ("Vertica cannot
         hang waiting for S3 to respond", section 5.3).
-
-        ``pool`` (a :class:`~repro.engine.pipeline.PipelineCharges`) defers
-        this batch's lane makespan to a per-query settlement instead of
-        charging it here — the pipelined executor's driver-issued prefetch,
-        which keeps lanes busy across scan boundaries.  Every demand-side
-        effect (cache.get calls, misses, puts, S3 requests, retries) is
-        identical with or without a pool; only the timing charge moves.
 
         ``background_keys`` marks keys whose containers a pushdown scan
         will cover: the scan does not *wait* for them, so units made up
@@ -458,8 +451,8 @@ class IOScheduler:
         makespan, lane_totals = clock.charge_parallel(durations, config.lanes)
         # Background hydration occupies lanes "for free": its makespan is
         # computed for observability but never folded into the scan's
-        # io_seconds or the pipeline pool — the pushdown scan it races
-        # already carries the critical-path charge.
+        # io_seconds — the pushdown scan it races already carries the
+        # critical-path charge.
         background_makespan, _ = clock.charge_parallel(
             background_durations, config.lanes
         )
@@ -468,11 +461,7 @@ class IOScheduler:
         # the retry loop, not a lane) so throttled scans report higher
         # latency, matching the serial fetch path's accounting.
         backoff_seconds = shared.metrics.retry_backoff_seconds - backoff_before
-        if pool is not None:
-            pool.add(node.name, durations, makespan)
-            result.io_seconds += hit_seconds + backoff_seconds
-        else:
-            result.io_seconds += makespan + hit_seconds + backoff_seconds
+        result.io_seconds += makespan + hit_seconds + backoff_seconds
         self.stats.fetched_files += len(fetched_keys)
         self.stats.fetched_bytes += total_fetched_bytes
         if obs.enabled:
@@ -495,7 +484,7 @@ class IOScheduler:
         return batch
 
     def pushdown_batch(
-        self, node, items, result, cancelled=None, pool=None
+        self, node, items, result, cancelled=None
     ) -> Dict[str, object]:
         """Run server-side selects for a scan's pushdown containers.
 
@@ -551,11 +540,7 @@ class IOScheduler:
                 )
         makespan, _ = clock.charge_parallel(durations, self.config.lanes)
         backoff_seconds = shared.metrics.retry_backoff_seconds - backoff_before
-        if pool is not None:
-            pool.add(node.name, durations, makespan)
-            result.io_seconds += backoff_seconds
-        else:
-            result.io_seconds += makespan + backoff_seconds
+        result.io_seconds += makespan + backoff_seconds
         return selects
 
     def consume(self, batch: Optional[FetchBatch], node, key: str, result):

@@ -602,12 +602,6 @@ class SystemTableProvider(StorageProvider):
     def preserves_segmentation(self) -> bool:
         return self._base.preserves_segmentation
 
-    def make_pipeline_charges(self):
-        return self._base.make_pipeline_charges()
-
-    def attach_pipeline(self, charges) -> None:
-        self._base.attach_pipeline(charges)
-
     def set_pushdown(self, mode: str) -> None:
         self._base.set_pushdown(mode)
 

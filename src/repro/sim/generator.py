@@ -43,10 +43,6 @@ class ScenarioGenerator:
 
     def __init__(self, seed: int):
         self.rng = random.Random(seed ^ 0x9E3779B9)
-        #: Separate stream for batch-size sampling so turning queries
-        #: batched does not shift the action-menu draws: a seed generates
-        #: the same kills/pins/outages schedule it always did.
-        self.batch_rng = random.Random(seed ^ 0xBA7C4E5)
         self._next_key = 1000
         self._next_pin = 0
         self._next_extra_node = 0
@@ -114,24 +110,9 @@ class ScenarioGenerator:
     def _cut(self) -> int:
         return 1000 + self.rng.randrange(0, 400)
 
-    #: Batch sizes sampled for batched-engine queries: degenerate (1),
-    #: boundary-hostile odd sizes, a realistic size, and one big enough to
-    #: exceed most sim tables (exercising the single-batch path).
-    BATCH_SIZES = (1, 3, 7, 64, 1024)
-
-    def _batch_size(self):
-        """Half the queries run the materializing engine (None); the rest
-        stream batches of a size drawn from :data:`BATCH_SIZES`."""
-        if self.batch_rng.random() < 0.5:
-            return None
-        return self.BATCH_SIZES[self.batch_rng.randrange(len(self.BATCH_SIZES))]
-
     def _query(self, world) -> act.Query:
         template = self.QUERY_POOL[self.rng.randrange(len(self.QUERY_POOL))]
-        return act.Query(
-            template.format(table=world.table, cut=self._cut()),
-            batch_size=self._batch_size(),
-        )
+        return act.Query(template.format(table=world.table, cut=self._cut()))
 
     def _crunch_query(self, world) -> act.Query:
         template = self.QUERY_POOL[self.rng.randrange(len(self.QUERY_POOL))]
@@ -140,7 +121,6 @@ class ScenarioGenerator:
             template.format(table=world.table, cut=self._cut()),
             crunch=mode,
             nodes_per_shard=2,
-            batch_size=self._batch_size(),
         )
 
     def _fetch_storm(self, world) -> act.FetchStorm:
@@ -215,10 +195,7 @@ class ScenarioGenerator:
 
     def _kill_mid_query(self, world) -> act.KillMidQuery:
         template = self.QUERY_POOL[self.rng.randrange(len(self.QUERY_POOL))]
-        return act.KillMidQuery(
-            template.format(table=world.table, cut=self._cut()),
-            batch_size=self._batch_size(),
-        )
+        return act.KillMidQuery(template.format(table=world.table, cut=self._cut()))
 
     def _s3_outage(self, world) -> act.S3Outage:
         # Windows of 20..200 sim-seconds: long enough to span several
@@ -346,10 +323,7 @@ class PushdownScenarioGenerator(ScenarioGenerator):
         # The last two pool templates carry {cut} predicates; the race is
         # most interesting when the server has something to filter.
         template = self.QUERY_POOL[4 + self.rng.randrange(2)]
-        return act.PushdownRace(
-            template.format(table=world.table, cut=self._cut()),
-            batch_size=self._batch_size(),
-        )
+        return act.PushdownRace(template.format(table=world.table, cut=self._cut()))
 
 
 class DesignerScenarioGenerator(ScenarioGenerator):

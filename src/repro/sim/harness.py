@@ -9,9 +9,7 @@ digest).  On a violation it stops and reports ``(seed, step)``; the
 schedule can then be replayed verbatim or shrunk (:mod:`repro.sim.shrink`).
 
 All nondeterminism flows from a fixed set of seeded streams — the
-generator's RNGs (menu draws and batch-size draws are separate streams so
-batching never shifts the action schedule), the cluster RNG, and the S3
-fault injector's RNG — and
+generator's RNG, the cluster RNG, and the S3 fault injector's RNG — and
 invariant checks use only out-of-band accessors, so a campaign is a pure
 function of its seed.
 """
@@ -86,10 +84,6 @@ class SimWorld:
         self.cleanup_completed = False
         #: ``clock.now`` before the current step, for the monotone check.
         self.clock_floor = 0.0
-        #: Batched-query parity log: (step, sql, batch_size, match) entries
-        #: written by Query/KillMidQuery when they run on the batch engine;
-        #: the ``batch-digest-parity`` invariant audits it every step.
-        self.batch_checks: List[tuple] = []
         #: Pushdown-race parity log: (step, sql, match) entries written by
         #: ``PushdownRace`` (pushdown-on rows vs depot rows); audited every
         #: step by the ``pushdown-digest-parity`` invariant, which also
@@ -157,17 +151,6 @@ class SimWorld:
     def release_all_pins(self) -> None:
         for tag in sorted(self.pins):
             self.release_pin(tag)
-
-    # -- batched-engine parity log ---------------------------------------------
-
-    def note_batch_check(self, sql: str, batch_size: int, actual, expected) -> None:
-        """Record one batched-vs-oracle digest comparison (bounded log)."""
-        digest = hashlib.sha256(repr(actual).encode()).hexdigest()
-        oracle_digest = hashlib.sha256(repr(expected).encode()).hexdigest()
-        self.batch_checks.append(
-            (self.step, sql, batch_size, digest == oracle_digest)
-        )
-        del self.batch_checks[:-256]
 
     def note_pushdown_check(self, sql: str, pushdown_rows, depot_rows) -> None:
         """Record one pushdown-vs-depot digest comparison (bounded log)."""

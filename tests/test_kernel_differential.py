@@ -106,7 +106,8 @@ class TestJoinAgainstDictOracle:
     @settings(max_examples=100, deadline=None)
     def test_one_index_serves_every_batch(self, sides, batch_size):
         """Probing one index batch by batch concatenates to the one-shot
-        join: the contract the batched engine relies on."""
+        join: a probe is row-local, so one build serves any split of the
+        probe side."""
         left, right, (left_keys, right_keys) = sides
         index = JoinIndex(right, right_keys)
         parts = [
