@@ -1,6 +1,6 @@
 PY := PYTHONPATH=src python
 
-.PHONY: default test test-fast lint sim-smoke sim-campaign chaos-smoke wm-smoke engine-smoke autoscale-smoke pushdown-smoke doctor-smoke designer-smoke bench bench-smoke perf obs-demo
+.PHONY: default test test-fast lint sim-smoke sim-campaign chaos-smoke wm-smoke engine-smoke autoscale-smoke pushdown-smoke doctor-smoke designer-smoke bench bench-smoke perf perf-trace obs-demo
 
 # Default flow: lint, then the tier-1 suite.
 default: lint test
@@ -90,6 +90,15 @@ perf:
 			out=$$(python3 eonbench/run.py --workload $$w --seed $$seed) || exit 1; \
 			printf '%s seed %s: %s\n' $$w $$seed "$$(printf '%s\n' "$$out" | tail -n 1)"; \
 		done; \
+	done
+
+# Per-layer host/sim split from eonbench: the three gated workloads at
+# seed 1 with span wrappers (--trace 1), each workload's per-layer lines
+# (e.g. storage.decode_s, storage.decode_blocks).  About 30 s per workload.
+perf-trace:
+	@for w in $(PERF_WORKLOADS); do \
+		out=$$(python3 eonbench/run.py --workload $$w --seed 1 --trace 1) || exit 1; \
+		printf '%s\n' "$$out" | grep -v '^[#{]'; \
 	done
 
 # Observability walkthrough: trace a TPC-H query, print the span tree,

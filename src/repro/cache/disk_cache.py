@@ -14,16 +14,23 @@ Semantics from the paper:
 The cache stores bytes in a UDFS backend (a node's local disk).  Object
 metadata (which table/projection/partition a file belongs to) is supplied
 by the caller on ``put`` so policies can match on it.
+
+Because entries are immutable, the cache also keeps each entry's *opened*
+form (a parsed container reader with the blocks it has decoded) for as
+long as the entry itself lives: see :meth:`FileCache.opened`.  This is
+host memory only; sizes, recency and :class:`CacheStats` never see it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Set
+from typing import Callable, Dict, Optional, Set, TypeVar
 
 from repro.cache.lru import LruIndex
 from repro.errors import ObjectNotFound
 from repro.shared_storage.api import Filesystem
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -111,6 +118,9 @@ class FileCache:
         self._index = LruIndex()
         self._info: Dict[str, ObjectInfo] = {}
         self._pinned: Set[str] = set()
+        #: name -> the entry's opened form (see ``opened``); dropped with
+        #: the entry by ``_forget`` and ``clear``.
+        self._opened: Dict[str, object] = {}
         self.stats = CacheStats()
         #: Optional ``sink(event, name, size)`` called on depot events the
         #: Data Collector records (currently evictions).  Must be free of
@@ -202,6 +212,31 @@ class FileCache:
         self.stats.prefetch_hits += 1
         self.stats.prefetch_bytes_read += nbytes
 
+    def opened(
+        self,
+        name: str,
+        data: bytes,
+        opener: Callable[[bytes], T],
+        use_cache: bool = True,
+    ) -> T:
+        """The opened form of ``data``, the bytes just read for ``name``.
+
+        While ``name`` is in the cache, ``opener(data)`` runs once and its
+        result is kept with the entry: later calls return the same object
+        until eviction, ``drop``, a re-``put``, a lost local file or
+        ``clear`` forgets the entry.  Files are immutable, so this only
+        stops the host from recomputing a pure function of the bytes.
+        Bytes the cache does not hold (``use_cache=False``, denied or
+        oversized files) are opened afresh on every call.  Each file name
+        has one opener; stats and recency are untouched.
+        """
+        if not use_cache or name not in self._index:
+            return opener(data)
+        opened = self._opened.get(name)
+        if opened is None:
+            opened = self._opened[name] = opener(data)
+        return opened
+
     def contains(self, name: str) -> bool:
         return name in self._index
 
@@ -219,6 +254,7 @@ class FileCache:
         self._index = LruIndex()
         self._info.clear()
         self._pinned.clear()
+        self._opened.clear()
 
     # -- warming support ----------------------------------------------------------
 
@@ -245,6 +281,7 @@ class FileCache:
         self._index.remove(name)
         self._info.pop(name, None)
         self._pinned.discard(name)
+        self._opened.pop(name, None)
 
     def _evict_for(self, incoming: int) -> None:
         if incoming <= 0:

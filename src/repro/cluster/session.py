@@ -422,7 +422,12 @@ class EonStorageProvider(StorageProvider):
         data = self._fetch_through_depot(
             node, container.location, info, result, batch
         )
-        reader = read_container(data)
+        # A container the depot holds is opened once per depot entry
+        # (footers parsed, blocks decoded); the cost model still charges
+        # decode per scan, since the modeled node decodes every time.
+        reader = node.cache.opened(
+            container.location, data, read_container, self.session.use_cache
+        )
         dvs = state.delete_vectors_for(str(container.sid))
 
         # Block-level pruning: decode only blocks whose footer min/max
@@ -444,7 +449,10 @@ class EonStorageProvider(StorageProvider):
                 dv_data = self._fetch_through_depot(
                     node, dv.location, info, result, batch
                 )
-                position_sets.append(read_delete_vector(dv_data))
+                position_sets.append(node.cache.opened(
+                    dv.location, dv_data, read_delete_vector,
+                    self.session.use_cache,
+                ))
             mask = mask_from_positions(
                 combine_positions(position_sets), container.row_count
             )

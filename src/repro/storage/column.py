@@ -128,23 +128,29 @@ class ColumnReader:
     """Random-access reader over a column file byte image.
 
     Decodes the footer eagerly (it is small) and blocks lazily, mirroring
-    how a real engine touches only the blocks a query needs.
+    how a real engine touches only the blocks a query needs.  ``data`` may
+    be ``bytes`` or a ``memoryview`` slice of a container; blocks are
+    sliced from it without copying.  Each decoded block is kept and marked
+    read-only: the file is immutable, so a second read returns the same
+    array, and an in-place write to it raises instead of corrupting it.
     """
 
-    def __init__(self, data: bytes):
+    def __init__(self, data):
+        data = memoryview(data)
         if len(data) < _TRAILER.size:
             raise ValueError("truncated column file")
         footer_len, magic = _TRAILER.unpack_from(data, len(data) - _TRAILER.size)
         if magic != _MAGIC:
             raise ValueError("bad column file magic")
         footer_start = len(data) - _TRAILER.size - footer_len
-        footer = json.loads(data[footer_start : footer_start + footer_len])
+        footer = json.loads(data[footer_start : footer_start + footer_len].tobytes())
         self._data = data
         self.ctype = ColumnType(footer["ctype"])
         self.row_count: int = footer["row_count"]
         self.blocks: List[BlockInfo] = [
             BlockInfo.from_json(b) for b in footer["blocks"]
         ]
+        self._decoded: List[Optional[np.ndarray]] = [None] * len(self.blocks)
 
     # -- statistics ----------------------------------------------------------
 
@@ -161,8 +167,13 @@ class ColumnReader:
     # -- reads ---------------------------------------------------------------
 
     def read_block(self, index: int) -> np.ndarray:
-        info = self.blocks[index]
-        return decode_block(self._data[info.offset : info.offset + info.length])
+        block = self._decoded[index]
+        if block is None:
+            info = self.blocks[index]
+            block = decode_block(self._data[info.offset : info.offset + info.length])
+            block.flags.writeable = False
+            self._decoded[index] = block
+        return block
 
     def read_all(self) -> np.ndarray:
         if not self.blocks:
@@ -175,7 +186,6 @@ class ColumnReader:
     def read_rows(self, positions: Sequence[int]) -> np.ndarray:
         """Fetch specific row positions (used for late materialisation)."""
         positions = np.asarray(positions, dtype=np.int64)
-        out: Optional[np.ndarray] = None
         order = np.argsort(positions, kind="stable")
         sorted_pos = positions[order]
         results = [None] * len(positions)

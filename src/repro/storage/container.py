@@ -126,7 +126,6 @@ class RowSet:
         for name in reversed(list(order)):
             col = self.columns[name][indices]
             if col.dtype.kind == "O":
-                keys = np.array([(v is None, v if v is not None else "") for v in col], dtype=object)
                 sorter = sorted(range(len(col)), key=lambda i: (col[i] is None, col[i] if col[i] is not None else ""))
                 sorter = np.asarray(sorter, dtype=np.int64)
             else:
@@ -219,14 +218,21 @@ def write_container(rowset: RowSet, block_rows: int = DEFAULT_BLOCK_ROWS) -> byt
 
 
 class ContainerReader:
-    """Lazy per-column reader over a container byte image."""
+    """Lazy per-column reader over a container byte image.
+
+    Column files are ``memoryview`` slices of the image, not copies, and
+    each :class:`ColumnReader` is opened once and kept (with the blocks it
+    decodes), so a reader held for the image's lifetime decodes each
+    block at most once.
+    """
 
     def __init__(self, data: bytes):
+        data = memoryview(data)
         footer_len, magic = _TRAILER.unpack_from(data, len(data) - _TRAILER.size)
         if magic != _MAGIC:
             raise ValueError("bad container magic")
         start = len(data) - _TRAILER.size - footer_len
-        footer = json.loads(data[start : start + footer_len])
+        footer = json.loads(data[start : start + footer_len].tobytes())
         self._data = data
         self.row_count: int = footer["row_count"]
         self.column_order: List[str] = footer["order"]

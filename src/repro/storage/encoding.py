@@ -157,7 +157,9 @@ def _decode_plain(data: bytes, dt: int, count: int) -> np.ndarray:
     if dt == _DT_BOOL:
         bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=count)
         return bits.astype(np.bool_)
-    return np.frombuffer(data, dtype=_NUMPY_BY_DT[dt]).copy()
+    # A read-only view of the file's bytes, not a copy: a block kept with
+    # its depot entry then costs no memory beyond the file itself.
+    return np.frombuffer(data, dtype=_NUMPY_BY_DT[dt])
 
 
 def _runs(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -306,8 +308,16 @@ def encode_block(arr: np.ndarray, encoding: Optional[Encoding] = None) -> bytes:
     return _HEADER.pack(int(encoding), dt, len(arr)) + payload
 
 
-def decode_block(data: bytes) -> np.ndarray:
-    """Inverse of :func:`encode_block`."""
+def decode_block(data) -> np.ndarray:
+    """Inverse of :func:`encode_block`.
+
+    ``data`` is ``bytes`` or a ``memoryview`` slice of a column file; the
+    payload is sliced without copying, except that string payloads are
+    materialized once so each value decodes from ``bytes``.  PLAIN INT
+    and FLOAT blocks decode to read-only views of ``data``.
+    """
     enc_id, dt, count = _HEADER.unpack_from(data, 0)
-    payload = data[_HEADER.size :]
+    payload = memoryview(data)[_HEADER.size :]
+    if dt == _DT_OBJ:
+        payload = payload.tobytes()
     return _DECODERS[Encoding(enc_id)](payload, dt, count)

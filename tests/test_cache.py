@@ -1,5 +1,8 @@
 """File cache: LRU eviction, shaping policies, write-through, warming."""
 
+import dataclasses
+import weakref
+
 import pytest
 
 from repro.cache.disk_cache import CacheStats, FileCache, ObjectInfo, ShapingPolicy
@@ -137,6 +140,121 @@ class TestShapingPolicies:
         cache.put("p", b"1")
         cache.drop("p")
         assert not cache.contains("p")
+
+
+class Opened:
+    """Stand-in for a parsed reader: weak-referenceable, counts openings."""
+
+    count = 0
+
+    def __init__(self, data):
+        Opened.count += 1
+        self.data = data
+
+
+def opened_ref(cache, name, data=b"12345", **kwargs):
+    """Open ``name`` through the cache; a weak reference to the result."""
+    return weakref.ref(cache.opened(name, data, Opened, **kwargs))
+
+
+class TestOpenedMemo:
+    """A file's opened form lives exactly as long as its depot entry."""
+
+    def test_opened_once_while_resident(self):
+        cache = make_cache()
+        cache.put("a", b"12345")
+        before = Opened.count
+        first = cache.opened("a", b"12345", Opened)
+        assert cache.opened("a", b"12345", Opened) is first
+        assert Opened.count == before + 1
+
+    def test_dropped_on_lru_eviction(self):
+        cache = make_cache(capacity=10)
+        cache.put("a", b"12345")
+        ref = opened_ref(cache, "a")
+        assert ref() is not None
+        cache.put("b", b"12345")
+        cache.put("c", b"12345")  # evicts a
+        assert not cache.contains("a")
+        assert ref() is None
+
+    def test_dropped_on_drop(self):
+        cache = make_cache()
+        cache.put("a", b"12345")
+        ref = opened_ref(cache, "a")
+        cache.drop("a")
+        assert ref() is None
+
+    def test_dropped_on_clear(self):
+        cache = make_cache()
+        cache.put("a", b"12345")
+        cache.put("b", b"12345")
+        refs = [opened_ref(cache, "a"), opened_ref(cache, "b")]
+        cache.clear()
+        assert [r() for r in refs] == [None, None]
+
+    def test_dropped_on_re_put(self):
+        cache = make_cache()
+        cache.put("a", b"old")
+        ref = opened_ref(cache, "a", b"old")
+        cache.put("a", b"new")
+        assert ref() is None
+        assert cache.opened("a", b"new", Opened).data == b"new"
+
+    def test_dropped_when_local_file_lost(self):
+        for read in ("get", "peek"):
+            fs = MemoryFilesystem()
+            cache = FileCache(fs, 100)
+            cache.put("a", b"12345")
+            ref = opened_ref(cache, "a")
+            fs.delete("cache_a")  # local disk lost the file behind our back
+            assert getattr(cache, read)("a") is None
+            assert ref() is None
+
+    def test_bypass_reads_are_not_memoized(self):
+        cache = make_cache()
+        cache.put("a", b"12345")
+        first = cache.opened("a", b"12345", Opened, use_cache=False)
+        assert cache.opened("a", b"12345", Opened, use_cache=False) is not first
+        assert cache.opened("a", b"12345", Opened) is not first
+
+    def test_denied_and_oversized_files_are_not_memoized(self):
+        policy = ShapingPolicy(deny_tables={"archive"})
+        cache = make_cache(capacity=4, policy=policy)
+        assert not cache.put("denied", b"1", info=ObjectInfo(table="archive"))
+        assert not cache.put("big", b"123456")
+        for name, data in (("denied", b"1"), ("big", b"123456")):
+            first = cache.opened(name, data, Opened)
+            assert cache.opened(name, data, Opened) is not first
+        assert cache.file_count == 0
+
+    def test_memo_hits_leave_stats_recency_and_capacity_alone(self):
+        policy = ShapingPolicy(pin=lambda info: info.partition_key == "recent")
+        cache = make_cache(capacity=10, policy=policy)
+        cache.put("pinned", b"123456", info=ObjectInfo(partition_key="recent"))
+        cache.put("a", b"1234")
+        cache.put("b", b"1234")  # evicts a, never the pinned file
+        cache.get("b")
+        cache.get("missing")
+        cache.note_miss_bytes(7)
+        cache.note_prefetch_hit("pinned", 6)
+
+        def snapshot():
+            return (
+                dataclasses.asdict(cache.stats),
+                cache.capacity_violation(),
+                cache.used_bytes,
+                cache.pinned_bytes,
+                cache.file_count,
+                cache.warm_list(100),
+            )
+
+        before = snapshot()
+        for _ in range(3):
+            for name in ("pinned", "a", "b", "missing"):
+                cache.opened(name, b"x", Opened)
+                cache.opened(name, b"x", Opened, use_cache=False)
+        assert snapshot() == before
 
 
 class TestWarming:
